@@ -47,7 +47,12 @@ from .hardware.simulator import (
     compile_baseline,
 )
 from .hardware.specs import CA_SPEC, CAMA_SPEC, EAP_SPEC
-from .matching import DEFAULT_TABLE_STATES, ENGINES, PatternSet
+from .matching import (
+    DEFAULT_TABLE_BYTES,
+    DEFAULT_TABLE_STATES,
+    ENGINES,
+    PatternSet,
+)
 from .resilience import (
     Budget,
     ChaosSpec,
@@ -103,9 +108,9 @@ def _load_patterns(
 
         patterns = [prosite_to_pcre(p) for p in patterns]
     elif fmt == "snort":
-        from .workloads.snort import rules_to_patterns
+        from .workloads.rulesets import parse_rule_lines
 
-        patterns = rules_to_patterns(patterns)
+        patterns = [rule.pattern for rule in parse_rule_lines(patterns)]
     if not patterns:
         raise SystemExit("no patterns given")
     return patterns
@@ -642,12 +647,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="budget: widest virtual bit vector per pattern")
         p.add_argument("--max-cache-bytes", type=int, default=None,
                        dest="max_cache_bytes",
-                       help="budget: fused-engine lazy-DFA cache bytes "
-                            "(also caps the dense transition table)")
+                       help="budget: byte cap of every fused matcher's "
+                            "lazy DFA; a full table is flushed and refilled "
+                            f"(default {DEFAULT_TABLE_BYTES})")
         p.add_argument("--table-states", type=int, default=None,
                        dest="table_states",
-                       help="budget: dense-table states for the fused "
-                            "engine (0 disables the table tier; default "
+                       help="budget: lazy-DFA state cap for the fused "
+                            "engine, flushed when reached (0 disables the "
+                            "table: un-memoised bitset stepping; default "
                             f"{DEFAULT_TABLE_STATES})")
         p.add_argument("--deadline", type=float, default=None,
                        dest="deadline",

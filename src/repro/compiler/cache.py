@@ -58,7 +58,6 @@ import os
 import pickle
 import tempfile
 import threading
-from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -177,7 +176,8 @@ class CompileCache:
         self.max_disk_bytes = max_disk_bytes
         self.version = version or code_version()
         self._lock = threading.Lock()
-        self._memory: "OrderedDict[str, Any]" = OrderedDict()
+        #: In-memory LRU: dict insertion order is recency, oldest first.
+        self._memory: Dict[str, Any] = {}
         self._disk_bytes: Optional[int] = None  # scanned lazily
         self.hits = 0
         self.misses = 0
@@ -203,9 +203,9 @@ class CompileCache:
         or ``None`` on a miss."""
         key = self.key_for(pattern, options)
         with self._lock:
-            compiled = self._memory.get(key)
+            compiled = self._memory.pop(key, None)
             if compiled is not None:
-                self._memory.move_to_end(key)
+                self._memory[key] = compiled  # now the most recent
                 self.hits += 1
                 self._count("compile.cache.hits")
                 return self._badge(compiled, regex_id)
@@ -240,10 +240,10 @@ class CompileCache:
     # -- in-memory layer -----------------------------------------------
 
     def _memory_put(self, key: str, compiled: Any) -> None:
+        self._memory.pop(key, None)
         self._memory[key] = compiled
-        self._memory.move_to_end(key)
         while len(self._memory) > self.max_entries:
-            self._memory.popitem(last=False)
+            del self._memory[next(iter(self._memory))]
             self.evictions += 1
             self._count("compile.cache.evictions")
 

@@ -8,14 +8,11 @@ from .engine import (
     PatternSet,
 )
 from .fused import (
-    DEFAULT_CACHE_BYTES,
-    DEFAULT_CACHE_SIZE,
     DEFAULT_TABLE_BYTES,
     DEFAULT_TABLE_STATES,
     FusedAutomaton,
     FusedMatcher,
     build_fused,
-    entry_bytes,
     fuse_patterns,
 )
 from .oracle import match_ends as oracle_match_ends
@@ -34,8 +31,6 @@ from .sharded import (
 )
 
 __all__ = [
-    "DEFAULT_CACHE_BYTES",
-    "DEFAULT_CACHE_SIZE",
     "DEFAULT_TABLE_BYTES",
     "DEFAULT_TABLE_STATES",
     "DEFAULT_CHUNK_BYTES",
@@ -54,7 +49,6 @@ __all__ = [
     "ShardRestart",
     "ShardedScanner",
     "build_fused",
-    "entry_bytes",
     "estimate_cost",
     "fuse_patterns",
     "oracle_match_ends",

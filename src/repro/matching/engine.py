@@ -8,9 +8,11 @@ engines (functional models, not the cycle-accurate simulator):
 * ``"nbva"``  — the pre-transformation NBVA (naïve design, Fig. 3(b));
 * ``"nca"``   — counter automaton with explicit counter-value sets;
 * ``"nfa"``   — fully unfolded Glushkov NFA (the baselines' model);
-* ``"fused"`` — all patterns merged into one shared state space and
-  advanced with a single bitset step per byte plus a lazy-DFA successor
-  cache (:mod:`repro.matching.fused`) — the fast software scan path;
+* ``"fused"`` — all patterns merged into one shared state space,
+  stepped through a literal prefilter and one flush-on-full lazy DFA
+  whose misses run a single big-int bitset step; ``max_table_states=0``
+  keeps the un-memoised bitset step as the reference
+  (:mod:`repro.matching.fused`) — the fast software scan path;
 * ``"sharded"`` — the pattern set cost-partitioned onto K worker
   processes, each running a fused shard over broadcast input chunks,
   merged deterministically (:mod:`repro.matching.sharded`) — the
@@ -31,7 +33,7 @@ Resilience hooks (:mod:`repro.resilience`):
   every engine check the wall clock every ``check_bytes`` scanned bytes
   and raise ``BudgetExceededError`` cooperatively;
 * a :class:`DegradationPolicy` lets the fused engine shed patterns at
-  run time: when the lazy-DFA cache thrashes or the combined active
+  run time: when the lazy DFA thrashes or the combined active
   mask grows too wide, the widest-active pattern is demoted onto a
   per-pattern fallback engine (state-preserving for ``"nfa"``) and the
   fused automaton is rebuilt without it.
@@ -62,8 +64,6 @@ from ..resilience.report import (
     CompileReport,
 )
 from .fused import (
-    DEFAULT_CACHE_BYTES,
-    DEFAULT_CACHE_SIZE,
     DEFAULT_TABLE_STATES,
     FusedMatcher,
     append_nfas,
@@ -103,9 +103,11 @@ class DegradationPolicy:
 
     Checked every ``check_bytes`` scanned bytes.  Two triggers:
 
-    * *cache thrash* — the successor cache is full
-      (:meth:`~repro.matching.fused.FusedMatcher.cache_full`) and the
-      hit rate over the last window dropped below ``min_hit_rate``;
+    * *cache thrash* — the lazy DFA flushed during the last window or
+      sits at its cap (:meth:`~repro.matching.fused.FusedMatcher.cache_full`)
+      and its hit rate over the window dropped below ``min_hit_rate``;
+      this trigger needs the lazy DFA (``max_table_states=0`` never
+      thrashes);
     * *wide activation* — the combined active mask covers more than
       ``max_active_fraction`` of a fused space of at least
       ``min_states_for_width`` states, so every step pays near-worst-case
@@ -210,6 +212,7 @@ class PatternSet:
         self._demoted: List[Tuple[int, object]] = []
         self._deg_hits = 0
         self._deg_misses = 0
+        self._deg_flushes = 0
         self._fused: Optional[FusedMatcher] = None
         self._fused_ids: List[int] = []
         self._fused_compiled: List[CompiledRegex] = []
@@ -222,13 +225,12 @@ class PatternSet:
             self._fused_compiled = list(self.compiled)
             self._matchers = []
         elif engine == "sharded":
-            cache_bytes = self.budget.max_cache_bytes or DEFAULT_CACHE_BYTES
             self._sharded = ShardedScanner(
                 self.compiled,
                 self._pattern_ids,
                 shards,
                 backend=shard_backend,
-                cache_bytes=cache_bytes,
+                table_bytes=self.budget.max_cache_bytes,
                 table_states=self._table_states(),
                 prefilter=self._prefilter,
                 restart_policy=self.budget.restart,
@@ -240,24 +242,16 @@ class PatternSet:
     # -- fused-matcher construction ------------------------------------
 
     def _table_states(self) -> int:
-        """Dense-table state budget: ``Budget.max_table_states`` when set
-        (0 disables the table), else the fused default."""
+        """Lazy-DFA state cap: ``Budget.max_table_states`` when set (0
+        disables the table), else the fused default."""
         limit = self.budget.max_table_states
         return DEFAULT_TABLE_STATES if limit is None else limit
 
-    def _build_fused_matcher(
-        self, automaton, old: Optional[FusedMatcher] = None
-    ) -> FusedMatcher:
+    def _build_fused_matcher(self, automaton) -> FusedMatcher:
         """A :class:`FusedMatcher` over ``automaton`` honouring the set's
-        budget and prefilter settings; ``old`` carries cache sizing across
-        incremental rebuilds."""
-        cache_bytes = self.budget.max_cache_bytes or DEFAULT_CACHE_BYTES
+        budget and prefilter settings."""
         return FusedMatcher(
             automaton,
-            cache_size=old._cache_size if old is not None else DEFAULT_CACHE_SIZE,
-            cache_bytes=(
-                old._cache_byte_limit if old is not None else cache_bytes
-            ),
             table_states=self._table_states(),
             table_bytes=self.budget.max_cache_bytes,
             prefilter=self._prefilter,
@@ -376,7 +370,6 @@ class PatternSet:
                         old.fused, nfas, sources,
                         literals=[c.literals for c in fresh],
                     ),
-                    old=old,
                 )
                 matcher.active = old.active
                 # Stream bookkeeping survives the rebuild: appended slots
@@ -430,7 +423,7 @@ class PatternSet:
             if len(keep_slots) < len(self._fused_ids):
                 old = self._fused
                 matcher = self._build_fused_matcher(
-                    subset_fused(old.fused, keep_slots), old=old
+                    subset_fused(old.fused, keep_slots)
                 )
                 matcher.active = remap_active(
                     old.fused, keep_slots, old.active
@@ -703,7 +696,6 @@ class PatternSet:
                 ]
             elif fused is not None:
                 hits, misses = fused.cache_hits, fused.cache_misses
-                table_hits, table_misses = fused.table_hits, fused.table_misses
                 skipped = fused.prefilter_skipped
                 ids = self._fused_ids
                 demoted = self._demoted
@@ -788,14 +780,6 @@ class PatternSet:
                 registry.counter("engine.fused.cache_misses").inc(
                     fused.cache_misses - misses
                 )
-                if fused.table_hits > table_hits:
-                    registry.counter("engine.fused.table_hits").inc(
-                        fused.table_hits - table_hits
-                    )
-                if fused.table_misses > table_misses:
-                    registry.counter("engine.fused.table_misses").inc(
-                        fused.table_misses - table_misses
-                    )
                 if fused.prefilter_skipped > skipped:
                     registry.counter("engine.fused.skipped_bytes").inc(
                         fused.prefilter_skipped - skipped
@@ -851,12 +835,14 @@ class PatternSet:
             return
         window_hits = fused.cache_hits - self._deg_hits
         window_misses = fused.cache_misses - self._deg_misses
+        flushed = fused.table_flushes > self._deg_flushes
         self._deg_hits = fused.cache_hits
         self._deg_misses = fused.cache_misses
+        self._deg_flushes = fused.table_flushes
         window = window_hits + window_misses
         thrash = (
             window >= policy.min_window
-            and fused.cache_full()
+            and (flushed or fused.cache_full())
             and window_hits < policy.min_hit_rate * window
         )
         num_states = fused.fused.num_states
@@ -914,9 +900,7 @@ class PatternSet:
         if matcher is None:
             return  # nothing in the chain can host it; stay fused
         keep = [i for i in range(len(self._fused_ids)) if i != slot]
-        new_matcher = self._build_fused_matcher(
-            subset_fused(automaton, keep), old=fused
-        )
+        new_matcher = self._build_fused_matcher(subset_fused(automaton, keep))
         new_matcher.active = remap_active(automaton, keep, fused.active)
         new_matcher._at_start = fused._at_start
         new_matcher._tail_emits = remap_slot_mask(fused._tail_emits, keep)
@@ -927,6 +911,7 @@ class PatternSet:
         self._demoted.sort(key=lambda item: item[0])
         self._deg_hits = 0
         self._deg_misses = 0
+        self._deg_flushes = 0
         self.degradations.append(
             DegradationEvent(pattern_id=pattern_id, engine=engine_used, reason=reason)
         )

@@ -18,8 +18,8 @@ Construction (:func:`fuse_patterns`):
 * a ``final state -> pattern_id`` report map recovers which pattern
   fired from the combined active mask.
 
-Execution (:class:`FusedMatcher`) layers three stepping tiers, fastest
-first, all producing byte-identical match streams:
+Execution (:class:`FusedMatcher`) runs two stepping tiers over one
+transition function, all producing byte-identical match streams:
 
 1. **Literal prefilter** — when every gated pattern *requires* some
    literal (:mod:`repro.compiler.prefilter`), each chunk is swept with
@@ -29,16 +29,18 @@ first, all producing byte-identical match streams:
    occurrences that straddle into the next chunk).  Outside those
    windows the activation decays with *reduced* start-state injection
    and, once empty, the remaining gap is skipped outright.
-2. **Dense transition table** — hot activation masks are interned as
-   dense state ids and stepped through flat ``array``-backed rows keyed
-   by byte-equivalence classes (two bytes are equivalent iff they select
-   the same fused match mask), with a precomputed fired-pattern tuple
-   per row.  The table is filled lazily and bounded by a state-count and
-   byte budget (:class:`repro.resilience.budget.Budget`); blowing the
-   budget falls back permanently to tier 3 mid-scan.
-3. **Bitset stepping with a lazy-DFA cache** — the original big-int
-   closure step memoised as ``(active_mask, byte) -> (next_mask, fired
-   pattern ids)`` in a bounded LRU.
+2. **Lazy DFA** — activation masks are interned as dense state ids and
+   stepped through flat ``array``-backed rows keyed by byte-equivalence
+   classes (two bytes are equivalent iff they select the same fused
+   match mask), with a precomputed fired-pattern tuple per state.  Rows
+   are filled on a miss by one big-int bitset step.  The table is the
+   step's only memo; it is bounded by a state cap and a byte cap
+   (:class:`repro.resilience.budget.Budget`) and, as in RE2's lazy DFA,
+   flushed and refilled from the current state when either cap is hit.
+
+With ``table_states=0`` the bitset step runs un-memoised on every byte:
+the reference the tier-parity tests and the ``--table-states 0`` CLI
+diff compare against.
 
 Soundness of the prefilter rests on a monotone-arming argument: arming
 start states at a *superset* of the true match-start positions never
@@ -51,7 +53,6 @@ match start of a gated pattern.
 from __future__ import annotations
 
 from array import array
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -65,30 +66,13 @@ from ..compiler.prefilter import PatternLiterals
 from ..telemetry import flight
 from ..telemetry.profiler import byte_class_ids
 
-#: Default bound on the lazy-DFA successor cache.  Entries are a handful
-#: of Python ints each; 1<<15 keeps even adversarial streams far below
-#: the footprint of the automata themselves.
-DEFAULT_CACHE_SIZE = 1 << 15
+#: Default bound on interned lazy-DFA states; 0 disables the table and
+#: leaves the un-memoised bitset reference.  Set high enough that
+#: :data:`DEFAULT_TABLE_BYTES` is the cap that binds on wide rule sets.
+DEFAULT_TABLE_STATES = 16384
 
-#: Default byte budget for the successor cache.  Entry cost is estimated
-#: from the *bit length of the masks* (a 10k-state fused set stores ~2.5kB
-#: of big-int per entry, a 100-state set ~100B), so wide pattern sets are
-#: bounded by memory footprint, not entry count.
-DEFAULT_CACHE_BYTES = 16 << 20
-
-#: Default bound on interned dense-DFA states for the table tier; 0
-#: disables the table.  Reachable activation-mask counts on real rule
-#: sets are small (the lazy-DFA cache already proved this), so 4096
-#: states is generous while a pathological set blows it quickly and
-#: falls back.
-DEFAULT_TABLE_STATES = 4096
-
-#: Default byte budget for the dense table (rows + interned masks).
+#: Default byte cap of the lazy DFA (rows + interned masks).
 DEFAULT_TABLE_BYTES = 8 << 20
-
-#: Estimated fixed overhead per cache entry (dict slot, key/value tuples,
-#: int headers) in bytes, on top of the mask payloads.
-_ENTRY_OVERHEAD_BYTES = 200
 
 #: Estimated fixed overhead per interned table state (dict slot, mask,
 #: fired tuple) in bytes, on top of the transition rows.
@@ -98,17 +82,6 @@ _STATE_OVERHEAD_BYTES = 120
 #: sweep per chunk; beyond this the ``bytes.find`` probes stop paying
 #: for themselves and the hint-heaviest patterns stay always-on.
 MAX_PLAN_LITERALS = 32
-
-
-def entry_bytes(active: int, next_mask: int, report_len: int = 0) -> int:
-    """Estimated resident bytes of one ``(active, symbol) -> (next, fired)``
-    cache entry, keyed on the bit length of both masks."""
-    return (
-        _ENTRY_OVERHEAD_BYTES
-        + active.bit_length() // 8
-        + next_mask.bit_length() // 8
-        + 32 * report_len
-    )
 
 
 @dataclass
@@ -184,16 +157,12 @@ class FusedAutomaton:
 
     def matcher(
         self,
-        cache_size: int = DEFAULT_CACHE_SIZE,
-        cache_bytes: int = DEFAULT_CACHE_BYTES,
         table_states: int = DEFAULT_TABLE_STATES,
         table_bytes: Optional[int] = None,
         prefilter: bool = True,
     ) -> "FusedMatcher":
         return FusedMatcher(
             self,
-            cache_size=cache_size,
-            cache_bytes=cache_bytes,
             table_states=table_states,
             table_bytes=table_bytes,
             prefilter=prefilter,
@@ -396,8 +365,6 @@ def fuse_patterns(compiled: Sequence[CompiledRegex]) -> FusedAutomaton:
 
 def build_fused(
     compiled: Sequence[CompiledRegex],
-    cache_size: int = DEFAULT_CACHE_SIZE,
-    cache_bytes: int = DEFAULT_CACHE_BYTES,
     table_states: int = DEFAULT_TABLE_STATES,
     table_bytes: Optional[int] = None,
     prefilter: bool = True,
@@ -405,8 +372,6 @@ def build_fused(
     """Convenience: fuse and wrap in a matcher in one call."""
     return FusedMatcher(
         fuse_patterns(compiled),
-        cache_size=cache_size,
-        cache_bytes=cache_bytes,
         table_states=table_states,
         table_bytes=table_bytes,
         prefilter=prefilter,
@@ -485,23 +450,17 @@ class FusedMatcher:
     The streaming contract mirrors the per-pattern engines: state
     persists across :meth:`feed` calls, reported end offsets are
     relative to the current chunk, and :meth:`reset` rewinds to the
-    empty activation (the dense table and lazy-DFA cache survive resets
-    — they memoise the automaton, not the stream).
+    empty activation (the lazy DFA survives resets — it memoises the
+    automaton, not the stream).
     """
 
     def __init__(
         self,
         fused: FusedAutomaton,
-        cache_size: int = DEFAULT_CACHE_SIZE,
-        cache_bytes: int = DEFAULT_CACHE_BYTES,
         table_states: int = DEFAULT_TABLE_STATES,
         table_bytes: Optional[int] = None,
         prefilter: bool = True,
     ) -> None:
-        if cache_size < 1:
-            raise ValueError("cache_size must be positive")
-        if cache_bytes < 1:
-            raise ValueError("cache_bytes must be positive")
         if table_states < 0:
             raise ValueError("table_states must be >= 0")
         if table_bytes is None:
@@ -522,18 +481,7 @@ class FusedMatcher:
         #: Per-byte injection mask: ``^``-gated start states are armed
         #: only by the dedicated stream-offset-0 step, never per byte.
         self._inject_initial = self._initial_mask & ~self._boi_mask
-        self._cache_size = cache_size
-        self._cache_byte_limit = cache_bytes
-        self._cache_bytes = 0
-        #: ``(active_mask, symbol) -> (next_mask, fired, fired_adjust)``
-        #: pattern-id tuples; reduced-injection entries share the dict
-        #: under ``symbol + 256``.
-        self._cache: "OrderedDict[Tuple[int, int], Tuple[int, Tuple[int, ...], Tuple[int, ...]]]"
-        self._cache = OrderedDict()
-        self.cache_hits = 0
-        self.cache_misses = 0
         # -- prefilter tier ------------------------------------------------
-        self._prefilter = bool(prefilter)
         self._plan = _build_plan(fused) if prefilter else None
         self._open_initial = (
             self._plan.open_initial
@@ -542,19 +490,26 @@ class FusedMatcher:
         ) & ~self._boi_mask
         self.prefilter_skipped = 0
         self.prefilter_armed = 0
-        # -- table tier ----------------------------------------------------
+        # -- lazy DFA ------------------------------------------------------
         self._table_states = table_states
         self._table_byte_limit = table_bytes
-        self._table_bytes = 0
-        self.table_hits = 0
-        self.table_misses = 0
+        self.cache_hits = 0
+        self.cache_misses = 0
         self.table_promotes = 0
-        self.table_fallbacks = 0
+        self.table_flushes = 0
         self.table_steps = 0
         self.bitset_steps = 0
         self.table_seconds = 0.0
         self.bitset_seconds = 0.0
-        self._tab_open: Optional[array] = None
+        self._state_ids: Dict[int, int] = {}
+        self._state_masks: List[int] = []
+        self._state_fired: List[Tuple[int, ...]] = []
+        self._state_fired_adj: List[Tuple[int, ...]] = []
+        #: Rows for full injection and, with a prefilter plan, rows for
+        #: the reduced injection of unarmed spans.
+        self._tab_full = array("i")
+        self._tab_open = array("i")
+        self._table_bytes = 0
         if table_states > 0:
             class_of_byte, num_classes = byte_class_ids(self._match_masks)
             self._class_table = bytes(class_of_byte)
@@ -564,22 +519,8 @@ class FusedMatcher:
                 reps[class_of_byte[byte]] = byte
             self._class_rep = reps
             self._blank_row = array("i", [-1]) * num_classes
-            self._table_live = True
-            self._state_ids: Dict[int, int] = {}
-            self._state_masks: List[int] = []
-            self._state_fired: List[Tuple[int, ...]] = []
-            self._state_fired_adj: List[Tuple[int, ...]] = []
-            self._tab_full = array("i")
-            if self._plan is not None:
-                self._tab_open = array("i")
-        else:
-            self._num_classes = 0
-            self._table_live = False
-            self._state_ids = {}
-            self._state_masks = []
-            self._state_fired = []
-            self._state_fired_adj = []
-            self._tab_full = array("i")
+            rows = 2 if self._plan is not None else 1
+            self._state_bytes = _STATE_OVERHEAD_BYTES + rows * 4 * num_classes
         self.reset()
 
     def reset(self) -> None:
@@ -602,14 +543,13 @@ class FusedMatcher:
         """The matcher's complete stream-dependent state, picklable.
 
         The activation mask *is* the whole story: counters are unfolded
-        away in the scan NFAs, and the dense table / lazy-DFA cache
-        memoise the automaton, not the stream, so a fresh matcher
-        restored from this snapshot produces a byte-identical event
-        stream from here on.  This is what makes checkpointed crash
-        recovery in :mod:`repro.matching.sharded` lossless: snapshot at
-        a chunk boundary, replay the tail from the snapshot, and the
-        seam composes exactly (the simultaneous-finite-automata
-        argument).
+        away in the scan NFAs, and the lazy DFA memoises the automaton,
+        not the stream, so a fresh matcher restored from this snapshot
+        produces a byte-identical event stream from here on.  This is
+        what makes checkpointed crash recovery in
+        :mod:`repro.matching.sharded` lossless: snapshot at a chunk
+        boundary, replay the tail from the snapshot, and the seam
+        composes exactly (the simultaneous-finite-automata argument).
         """
         return {
             "version": self.STATE_VERSION,
@@ -642,85 +582,18 @@ class FusedMatcher:
 
     # -- one combined transition -------------------------------------
 
-    def _advance(
-        self, active: int, symbol: int
-    ) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
-        cache = self._cache
-        key = (active, symbol)
-        hit = cache.get(key)
-        if hit is not None:
-            self.cache_hits += 1
-            cache.move_to_end(key)
-            return hit
-        self.cache_misses += 1
-        available = self._inject_initial
+    def _step(self, active: int, symbol: int, inject: int) -> int:
+        """The un-memoised bitset step: the successors of every state in
+        ``active`` plus the ``inject`` start states, filtered by
+        ``symbol``.  Table misses, the stream-offset-0 step and the
+        ``table_states=0`` reference all run through here."""
+        available = inject
         succ = self._succ_masks
-        remaining = active
-        while remaining:
-            low = remaining & -remaining
+        while active:
+            low = active & -active
             available |= succ[low.bit_length() - 1]
-            remaining ^= low
-        next_mask = available & self._match_masks[symbol]
-        fired = next_mask & self._final_mask
-        report = self._report_ids(fired) if fired else ()
-        fired_adj = next_mask & self._adjust_mask
-        report_adj = self._report_ids(fired_adj) if fired_adj else ()
-        entry = (next_mask, report, report_adj)
-        cache[key] = entry
-        self._cache_bytes += entry_bytes(
-            active, next_mask, len(report) + len(report_adj)
-        )
-        while (
-            len(cache) > self._cache_size
-            or self._cache_bytes > self._cache_byte_limit
-        ) and cache:
-            old_key, old_entry = cache.popitem(last=False)
-            self._cache_bytes -= entry_bytes(
-                old_key[0], old_entry[0], len(old_entry[1]) + len(old_entry[2])
-            )
-        return entry
-
-    def _advance_open(
-        self, active: int, symbol: int
-    ) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
-        """One transition with *reduced* start-state injection: only the
-        always-on patterns' start states are re-armed (the prefilter arms
-        gated patterns explicitly around literal occurrences).  Shares
-        the LRU cache with :meth:`_advance` under shifted symbol keys."""
-        cache = self._cache
-        key = (active, symbol + 256)
-        hit = cache.get(key)
-        if hit is not None:
-            self.cache_hits += 1
-            cache.move_to_end(key)
-            return hit
-        self.cache_misses += 1
-        available = self._open_initial
-        succ = self._succ_masks
-        remaining = active
-        while remaining:
-            low = remaining & -remaining
-            available |= succ[low.bit_length() - 1]
-            remaining ^= low
-        next_mask = available & self._match_masks[symbol]
-        fired = next_mask & self._final_mask
-        report = self._report_ids(fired) if fired else ()
-        fired_adj = next_mask & self._adjust_mask
-        report_adj = self._report_ids(fired_adj) if fired_adj else ()
-        entry = (next_mask, report, report_adj)
-        cache[key] = entry
-        self._cache_bytes += entry_bytes(
-            active, next_mask, len(report) + len(report_adj)
-        )
-        while (
-            len(cache) > self._cache_size
-            or self._cache_bytes > self._cache_byte_limit
-        ) and cache:
-            old_key, old_entry = cache.popitem(last=False)
-            self._cache_bytes -= entry_bytes(
-                old_key[0], old_entry[0], len(old_entry[1]) + len(old_entry[2])
-            )
-        return entry
+            active ^= low
+        return available & self._match_masks[symbol]
 
     def _report_ids(self, fired: int) -> Tuple[int, ...]:
         """Pattern ids firing in ``fired``, deduplicated, ascending."""
@@ -732,19 +605,22 @@ class FusedMatcher:
             fired ^= low
         return tuple(sorted(ids))
 
-    # -- dense table tier ---------------------------------------------
+    # -- lazy DFA ------------------------------------------------------
+
+    def _table_full(self) -> bool:
+        return (
+            len(self._state_masks) >= self._table_states
+            or self._table_bytes >= self._table_byte_limit
+        )
 
     def _intern(self, mask: int) -> int:
-        """Dense id of ``mask``, interning it on first sight; -1 when the
-        state-count or byte budget would be exceeded."""
+        """Dense id of ``mask``, interning it on first sight and flushing
+        the table first when it is at its state or byte cap."""
         sid = self._state_ids.get(mask)
         if sid is not None:
             return sid
-        if (
-            len(self._state_masks) >= self._table_states
-            or self._table_bytes >= self._table_byte_limit
-        ):
-            return -1
+        if self._table_full():
+            self._flush()
         sid = len(self._state_masks)
         self._state_ids[mask] = sid
         self._state_masks.append(mask)
@@ -755,29 +631,50 @@ class FusedMatcher:
             self._report_ids(fired_adj) if fired_adj else ()
         )
         self._tab_full.extend(self._blank_row)
-        rows = 1
-        if self._tab_open is not None:
+        if self._plan is not None:
             self._tab_open.extend(self._blank_row)
-            rows = 2
-        self._table_bytes += (
-            _STATE_OVERHEAD_BYTES
-            + rows * 4 * self._num_classes
-            + mask.bit_length() // 8
-        )
+        self._table_bytes += self._state_bytes + mask.bit_length() // 8
         self.table_promotes += 1
         return sid
 
+    def _flush(self) -> None:
+        """Forget every interned state and row; the next intern starts a
+        fresh table.  Everything is cleared in place, so a span loop's
+        local references to the rows and per-state tuples stay valid
+        across a flush inside :meth:`_fill`."""
+        if telemetry.metrics_enabled():
+            telemetry.registry().counter("scan.table.flush").inc()
+        if flight.flight_enabled():
+            flight.record(
+                "table_flush",
+                states=len(self._state_masks),
+                table_bytes=self._table_bytes,
+                state_capacity=self._table_states,
+                byte_capacity=self._table_byte_limit,
+            )
+        self.table_flushes += 1
+        self._state_ids.clear()
+        self._state_masks.clear()
+        self._state_fired.clear()
+        self._state_fired_adj.clear()
+        del self._tab_full[:]
+        del self._tab_open[:]
+        self._table_bytes = 0
+
     def _fill(self, state: int, cls: int, armed: bool) -> int:
-        """Compute one missing table row entry via the bitset step."""
-        self.table_misses += 1
-        mask = self._state_masks[state]
-        symbol = self._class_rep[cls]
-        if armed:
-            next_mask, _report, _report_adj = self._advance(mask, symbol)
-        else:
-            next_mask, _report, _report_adj = self._advance_open(mask, symbol)
+        """One table miss: compute the successor of ``state`` on byte
+        class ``cls`` with the bitset step and intern it.  The row entry
+        is written only if interning did not flush the table (a flush
+        drops ``state`` itself); the returned id is valid either way."""
+        self.cache_misses += 1
+        flushes = self.table_flushes
+        next_mask = self._step(
+            self._state_masks[state],
+            self._class_rep[cls],
+            self._inject_initial if armed else self._open_initial,
+        )
         nxt = self._intern(next_mask)
-        if nxt >= 0:
+        if self.table_flushes == flushes:
             row = state * self._num_classes + cls
             if armed:
                 self._tab_full[row] = nxt
@@ -785,34 +682,11 @@ class FusedMatcher:
                 self._tab_open[row] = nxt
         return nxt
 
-    def _table_blowup(self) -> None:
-        """Permanent mid-scan fallback to bitset stepping: the reachable
-        state space outgrew the table budget, so stop paying intern
-        costs, free the table, and record the event."""
-        self.table_fallbacks += 1
-        states = len(self._state_masks)
-        table_bytes = self._table_bytes
-        self._table_live = False
-        self._state_ids = {}
-        self._state_masks = []
-        self._state_fired = []
-        self._state_fired_adj = []
-        self._tab_full = array("i")
-        if self._tab_open is not None:
-            self._tab_open = array("i")
-        self._table_bytes = 0
-        if telemetry.metrics_enabled():
-            telemetry.registry().counter("scan.table.fallback").inc()
-        if flight.flight_enabled():
-            flight.record(
-                "table_fallback",
-                states=states,
-                table_bytes=table_bytes,
-                state_capacity=self._table_states,
-                byte_capacity=self._table_byte_limit,
-            )
-
     # -- span runners --------------------------------------------------
+
+    def _translate(self, data: bytes) -> Optional[bytes]:
+        """``data`` mapped to byte-class ids; None when the table is off."""
+        return data.translate(self._class_table) if self._table_states else None
 
     def _run_span(
         self,
@@ -824,35 +698,24 @@ class FusedMatcher:
         out: List[Tuple[int, int]],
     ) -> int:
         """Advance over ``data[start:end]`` appending ``(slot, end)``
-        events.  Returns the position reached: ``end``, or earlier for an
-        unarmed span whose activation provably drained to empty (the
-        caller skips the rest of the gap)."""
+        events.  Unarmed spans step with reduced injection.  Returns the
+        position reached: ``end``, or earlier for an unarmed span whose
+        activation provably drained to empty (the caller skips the rest
+        of the gap)."""
         if start >= end:
             return end
-        if self._table_live and translated is not None:
-            return self._run_table(data, translated, start, end, armed, out)
-        return self._run_bitset(data, start, end, armed, out)
-
-    def _run_table(
-        self,
-        data: bytes,
-        translated: bytes,
-        start: int,
-        end: int,
-        armed: bool,
-        out: List[Tuple[int, int]],
-    ) -> int:
+        if translated is None:
+            return self._run_bitset(data, start, end, armed, out)
         t0 = perf_counter()
         state = self._intern(self.active)
-        if state < 0:
-            self.table_seconds += perf_counter() - t0
-            self._table_blowup()
-            return self._run_bitset(data, start, end, armed, out)
         nc = self._num_classes
+        tab = self._tab_full if armed else self._tab_open
         fired_tab = self._state_fired
         fired_adj_tab = self._state_fired_adj
         masks = self._state_masks
-        miss0 = self.table_misses
+        fill = self._fill
+        can_die = not armed and self._plan is not None and self._plan.skippable
+        miss0 = self.cache_misses
         append = out.append
         pos = end
         seg = (
@@ -860,17 +723,14 @@ class FusedMatcher:
             if start == 0 and end == len(translated)
             else translated[start:end]
         )
-        if armed:
-            tab = self._tab_full
+        if not can_die:
+            # Two copies of one loop: only skippable unarmed spans pay
+            # the per-byte drain test below, which costs about 2% on
+            # fully armed scans.
             for off, cls in enumerate(seg, start):
                 nxt = tab[state * nc + cls]
                 if nxt < 0:
-                    nxt = self._fill(state, cls, True)
-                    if nxt < 0:
-                        return self._abort_span(
-                            data, state, start, off, end, True, miss0, t0, out
-                        )
-                    tab = self._tab_full
+                    nxt = fill(state, cls, armed)
                 state = nxt
                 fired = fired_tab[state]
                 if fired:
@@ -881,17 +741,10 @@ class FusedMatcher:
                     for slot in fired_adj:
                         append((slot, off - 1))
         else:
-            tab = self._tab_open
-            can_die = self._plan is not None and self._plan.skippable
             for off, cls in enumerate(seg, start):
                 nxt = tab[state * nc + cls]
                 if nxt < 0:
-                    nxt = self._fill(state, cls, False)
-                    if nxt < 0:
-                        return self._abort_span(
-                            data, state, start, off, end, False, miss0, t0, out
-                        )
-                    tab = self._tab_open
+                    nxt = fill(state, cls, False)
                 state = nxt
                 fired = fired_tab[state]
                 if fired:
@@ -901,37 +754,15 @@ class FusedMatcher:
                 if fired_adj:
                     for slot in fired_adj:
                         append((slot, off - 1))
-                if can_die and not masks[state]:
+                if not masks[state]:
                     pos = off + 1
                     break
         self.active = masks[state]
         served = pos - start
         self.table_steps += served
-        self.table_hits += max(0, served - (self.table_misses - miss0))
+        self.cache_hits += served - (self.cache_misses - miss0)
         self.table_seconds += perf_counter() - t0
         return pos
-
-    def _abort_span(
-        self,
-        data: bytes,
-        state: int,
-        start: int,
-        off: int,
-        end: int,
-        armed: bool,
-        miss0: int,
-        t0: float,
-        out: List[Tuple[int, int]],
-    ) -> int:
-        """The table blew its budget mid-span: sync the bitset activation,
-        account the bytes served so far, and finish the span on tier 3."""
-        self.active = self._state_masks[state]
-        served = off - start
-        self.table_steps += served
-        self.table_hits += max(0, served - (self.table_misses - miss0))
-        self.table_seconds += perf_counter() - t0
-        self._table_blowup()
-        return self._run_bitset(data, off, end, armed, out)
 
     def _run_bitset(
         self,
@@ -941,34 +772,30 @@ class FusedMatcher:
         armed: bool,
         out: List[Tuple[int, int]],
     ) -> int:
+        """:meth:`_run_span` on the un-memoised bitset step."""
         t0 = perf_counter()
         active = self.active
+        step = self._step
+        inject = self._inject_initial if armed else self._open_initial
+        final = self._final_mask
+        adjust = self._adjust_mask
+        report_ids = self._report_ids
+        can_die = not armed and self._plan is not None and self._plan.skippable
         append = out.append
         pos = end
-        if armed:
-            advance = self._advance
-            for off in range(start, end):
-                active, report, report_adj = advance(active, data[off])
-                if report:
-                    for slot in report:
-                        append((slot, off))
-                if report_adj:
-                    for slot in report_adj:
-                        append((slot, off - 1))
-        else:
-            advance = self._advance_open
-            can_die = self._plan is not None and self._plan.skippable
-            for off in range(start, end):
-                active, report, report_adj = advance(active, data[off])
-                if report:
-                    for slot in report:
-                        append((slot, off))
-                if report_adj:
-                    for slot in report_adj:
-                        append((slot, off - 1))
-                if can_die and not active:
-                    pos = off + 1
-                    break
+        for off in range(start, end):
+            active = step(active, data[off], inject)
+            fired = active & final
+            if fired:
+                for slot in report_ids(fired):
+                    append((slot, off))
+            fired_adj = active & adjust
+            if fired_adj:
+                for slot in report_ids(fired_adj):
+                    append((slot, off - 1))
+            if can_die and not active:
+                pos = off + 1
+                break
         self.active = active
         self.bitset_steps += pos - start
         self.bitset_seconds += perf_counter() - t0
@@ -982,13 +809,27 @@ class FusedMatcher:
         Per-byte stepping has no anchor semantics — gated automatons
         must be driven through :meth:`feed`/:meth:`finish`.
         """
-        self.active, report, _report_adj = self._advance(self.active, symbol)
-        return bool(report)
+        return bool(self.step_report(symbol))
 
     def step_report(self, symbol: int) -> Tuple[int, ...]:
-        """Consume one symbol; the pattern ids whose match ends here."""
-        self.active, report, _report_adj = self._advance(self.active, symbol)
-        return report
+        """Consume one fully-armed symbol through the lazy DFA (or the
+        bitset reference with the table off); the pattern ids whose
+        match ends here."""
+        if not self._table_states:
+            self.active = active = self._step(
+                self.active, symbol, self._inject_initial
+            )
+            fired = active & self._final_mask
+            return self._report_ids(fired) if fired else ()
+        state = self._intern(self.active)
+        cls = self._class_table[symbol]
+        nxt = self._tab_full[state * self._num_classes + cls]
+        if nxt < 0:
+            nxt = self._fill(state, cls, True)
+        else:
+            self.cache_hits += 1
+        self.active = self._state_masks[nxt]
+        return self._state_fired[nxt]
 
     def feed(self, data: bytes) -> List[Tuple[int, int]]:
         """Scan a chunk from the current state.
@@ -1011,24 +852,7 @@ class FusedMatcher:
         if self._plan is not None:
             return self._feed_prefiltered(data)
         out: List[Tuple[int, int]] = []
-        if self._table_live:
-            translated = data.translate(self._class_table)
-            self._run_span(data, translated, 0, len(data), True, out)
-            return out
-        t0 = perf_counter()
-        active = self.active
-        advance = self._advance
-        for offset, symbol in enumerate(data):
-            active, report, report_adj = advance(active, symbol)
-            if report:
-                for pattern_id in report:
-                    out.append((pattern_id, offset))
-            if report_adj:
-                for pattern_id in report_adj:
-                    out.append((pattern_id, offset - 1))
-        self.active = active
-        self.bitset_steps += len(data)
-        self.bitset_seconds += perf_counter() - t0
+        self._run_span(data, self._translate(data), 0, len(data), True, out)
         return out
 
     def _step_start(
@@ -1037,15 +861,9 @@ class FusedMatcher:
         """The one transition consuming stream offset 0: full injection
         including the ``^``-gated start states.  Uncached — it runs at
         most once per stream."""
-        available = self._initial_mask
-        succ = self._succ_masks
-        remaining = self.active
-        while remaining:
-            low = remaining & -remaining
-            available |= succ[low.bit_length() - 1]
-            remaining ^= low
-        next_mask = available & self._match_masks[symbol]
-        self.active = next_mask
+        self.active = next_mask = self._step(
+            self.active, symbol, self._initial_mask
+        )
         self.bitset_steps += 1
         fired = next_mask & self._final_mask
         if fired:
@@ -1143,9 +961,7 @@ class FusedMatcher:
                 merged.append((cur_lo, cur_hi))
                 cur_lo, cur_hi = lo, hi
         merged.append((cur_lo, cur_hi))
-        translated = (
-            data.translate(self._class_table) if self._table_live else None
-        )
+        translated = self._translate(data)
         pos = 0
         for lo, hi in merged:
             if pos < lo:
@@ -1182,46 +998,40 @@ class FusedMatcher:
         return popcount(self.active)
 
     def cache_info(self) -> Dict[str, int]:
-        """Lazy-DFA cache statistics (telemetry / bench reporting)."""
+        """Lazy-DFA counters and occupancy (telemetry / bench reporting)."""
         return {
             "hits": self.cache_hits,
             "misses": self.cache_misses,
-            "entries": len(self._cache),
-            "capacity": self._cache_size,
-            "bytes": self._cache_bytes,
-            "byte_capacity": self._cache_byte_limit,
-        }
-
-    def cache_full(self) -> bool:
-        """True once either cache bound (entries or bytes) is saturated.
-
-        Used by degradation policies: a low hit rate only signals thrash
-        when the cache has actually filled — cold caches miss by design.
-        """
-        return (
-            len(self._cache) >= self._cache_size
-            or self._cache_bytes >= self._cache_byte_limit
-        )
-
-    def table_info(self) -> Dict[str, object]:
-        """Dense-table tier statistics (telemetry / bench reporting)."""
-        return {
-            "live": self._table_live,
+            "flushes": self.table_flushes,
             "states": len(self._state_masks),
             "state_capacity": self._table_states,
             "bytes": self._table_bytes,
             "byte_capacity": self._table_byte_limit,
-            "hits": self.table_hits,
-            "misses": self.table_misses,
-            "promotes": self.table_promotes,
-            "fallbacks": self.table_fallbacks,
-            "steps_table": self.table_steps,
-            "steps_bitset": self.bitset_steps,
-            "seconds_table": self.table_seconds,
-            "seconds_bitset": self.bitset_seconds,
-            "skipped_bytes": self.prefilter_skipped,
-            "armed_bytes": self.prefilter_armed,
         }
+
+    def cache_full(self) -> bool:
+        """True when the lazy DFA sits at its state or byte cap (never
+        with the table off).  A pure query; degradation policies also
+        watch :attr:`table_flushes`, since a flush empties the table."""
+        return self._table_states > 0 and self._table_full()
+
+    def table_info(self) -> Dict[str, object]:
+        """:meth:`cache_info` plus the tier counters.  ``fallbacks``
+        counts table flushes (the name predates flush-on-full)."""
+        info: Dict[str, object] = dict(self.cache_info())
+        del info["flushes"]
+        info.update(
+            live=self._table_states > 0,
+            promotes=self.table_promotes,
+            fallbacks=self.table_flushes,
+            steps_table=self.table_steps,
+            steps_bitset=self.bitset_steps,
+            seconds_table=self.table_seconds,
+            seconds_bitset=self.bitset_seconds,
+            skipped_bytes=self.prefilter_skipped,
+            armed_bytes=self.prefilter_armed,
+        )
+        return info
 
     def prefilter_info(self) -> Optional[Dict[str, object]]:
         """The active prefilter plan, or None when every pattern is

@@ -70,7 +70,7 @@ import os
 import random
 import signal
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -80,7 +80,6 @@ from ..automata.ah import is_counter_free
 from ..compiler.pipeline import CompiledRegex
 from ..resilience.budget import RestartPolicy
 from .fused import (
-    DEFAULT_CACHE_BYTES,
     DEFAULT_TABLE_STATES,
     FusedAutomaton,
     FusedMatcher,
@@ -235,8 +234,8 @@ def _shard_worker_main(
     conn,
     automaton: FusedAutomaton,
     report_ids: Sequence[int],
-    cache_bytes: int,
     table_states: int = DEFAULT_TABLE_STATES,
+    table_bytes: Optional[int] = None,
     prefilter: bool = True,
 ) -> None:
     """Command loop of one shard worker process.
@@ -272,8 +271,8 @@ def _shard_worker_main(
     """
     matcher = FusedMatcher(
         automaton,
-        cache_bytes=cache_bytes,
         table_states=table_states,
+        table_bytes=table_bytes,
         prefilter=prefilter,
     )
     ids = list(report_ids)
@@ -349,15 +348,15 @@ class _InlineShard:
         self,
         automaton: FusedAutomaton,
         report_ids: Sequence[int],
-        cache_bytes: int,
         label: str = "shard",
         table_states: int = DEFAULT_TABLE_STATES,
+        table_bytes: Optional[int] = None,
         prefilter: bool = True,
     ) -> None:
         self.matcher = FusedMatcher(
             automaton,
-            cache_bytes=cache_bytes,
             table_states=table_states,
+            table_bytes=table_bytes,
             prefilter=prefilter,
         )
         self.ids = list(report_ids)
@@ -544,7 +543,9 @@ class ShardedScanner:
             capped at the pattern count.
         backend: ``"process"`` (default) or ``"inline"``.
         chunk_bytes: broadcast granularity (see module docstring).
-        cache_bytes: per-shard lazy-DFA cache budget.
+        table_states: per-shard lazy-DFA state cap (0: bitset reference).
+        table_bytes: per-shard lazy-DFA byte cap; ``None`` uses
+            :data:`repro.matching.fused.DEFAULT_TABLE_BYTES`.
         recv_timeout_s: per-chunk reply deadline before a shard is
             declared hung (the watchdog) and healed or degraded.
         mp_context: a ``multiprocessing`` context; defaults to ``fork``
@@ -566,10 +567,10 @@ class ShardedScanner:
         *,
         backend: str = "process",
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-        cache_bytes: int = DEFAULT_CACHE_BYTES,
         recv_timeout_s: float = DEFAULT_RECV_TIMEOUT_S,
         mp_context=None,
         table_states: int = DEFAULT_TABLE_STATES,
+        table_bytes: Optional[int] = None,
         prefilter: bool = True,
         restart_policy: Optional[RestartPolicy] = None,
         seed: int = 0,
@@ -588,10 +589,10 @@ class ShardedScanner:
             num_shards = max(1, min(len(compiled), os.cpu_count() or 1))
         self.backend = backend
         self.chunk_bytes = chunk_bytes
-        self.cache_bytes = cache_bytes
         if table_states < 0:
             raise ValueError("table_states must be >= 0")
         self.table_states = table_states
+        self.table_bytes = table_bytes
         self.prefilter = bool(prefilter)
         self.recv_timeout_s = recv_timeout_s
         self._mp_context = mp_context
@@ -613,7 +614,7 @@ class ShardedScanner:
         #: Buffered tail chunks ``seq -> (stream_base, bytes)`` since the
         #: oldest live checkpoint (supervised runs only; bounded by
         #: ``checkpoint_chunks`` plus the in-flight window).
-        self._tail: "OrderedDict[int, Tuple[int, bytes]]" = OrderedDict()
+        self._tail: Dict[int, Tuple[int, bytes]] = {}
         self._hb_nonce = 0
         self._shards: List[_Shard] = []
         ids = list(pattern_ids)
@@ -677,9 +678,9 @@ class ShardedScanner:
             shard.inline = _InlineShard(
                 shard.automaton,
                 shard.pattern_ids,
-                self.cache_bytes,
                 label=f"shard-{shard.index}",
                 table_states=self.table_states,
+                table_bytes=self.table_bytes,
                 prefilter=self.prefilter,
             )
             return
@@ -691,8 +692,8 @@ class ShardedScanner:
                 child_conn,
                 shard.automaton,
                 shard.pattern_ids,
-                self.cache_bytes,
                 self.table_states,
+                self.table_bytes,
                 self.prefilter,
             ),
             daemon=True,
@@ -980,7 +981,7 @@ class ShardedScanner:
             return
         floor = min(floors)
         while self._tail and next(iter(self._tail)) <= floor:
-            self._tail.popitem(last=False)
+            del self._tail[next(iter(self._tail))]
 
     def _filter_replayed(
         self,

@@ -14,12 +14,13 @@ Compile-time limits (checked at phase boundaries by
 Run-time limits (checked by the scan engines in
 :mod:`repro.matching.engine` / :mod:`repro.matching.fused`):
 
-* ``max_cache_bytes`` — lazy-DFA successor-cache footprint of the fused
-  engine (estimated bytes, see :func:`repro.matching.fused.entry_bytes`);
-  when set it also caps the fused engine's dense transition table;
-* ``max_table_states`` — dense-DFA states the fused engine's
-  table-driven inner loop may intern before falling back to bitset
-  stepping.  ``0`` disables the table entirely (pure bitset stepping);
+* ``max_cache_bytes`` — byte cap of the lazy DFA (estimated rows plus
+  interned masks) in every fused matcher: the fused engine's, each
+  shard's, and the per-pattern matchers of anchored patterns; ``None``
+  uses :data:`repro.matching.fused.DEFAULT_TABLE_BYTES`;
+* ``max_table_states`` — lazy-DFA states a fused matcher may intern
+  before it flushes the table and refills it from the current state.
+  ``0`` disables the table entirely (the un-memoised bitset reference);
   ``None`` uses :data:`repro.matching.fused.DEFAULT_TABLE_STATES`;
 * ``deadline_s`` — cooperative wall-clock deadline.  The clock starts
   when work starts (:meth:`Budget.start`) and is checked at compile phase

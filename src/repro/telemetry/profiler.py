@@ -20,7 +20,7 @@ hardware.  This module is the software lens for the same question:
   with its sampled mean step cost.
 
 Sampling happens every ``stride`` bytes, so the profiled loop does the
-normal :meth:`~repro.matching.fused.FusedMatcher._advance` work plus a
+normal :meth:`~repro.matching.fused.FusedMatcher.step_report` work plus a
 clock read and an O(num_patterns) mask decomposition once per stride —
 a few percent at the default stride of 64.  When no profiler is active
 the engines never reach this module: the scan path pays only the single
@@ -278,10 +278,10 @@ class ScanProfiler:
 
         The stretches *between* sampled bytes are delegated to
         ``matcher.feed`` so they take the matcher's real tier path
-        (prefilter skip loop, dense table, or bitset stepping) and the
+        (prefilter skip loop, lazy DFA, or the bitset reference) and the
         profile's tier shares reflect production behaviour.  Only the
         sampled byte itself is stepped here — on anchor-free automata
-        through the fully-armed ``matcher._advance`` (sound because
+        through the fully-armed ``matcher.step_report`` (sound because
         arming start states at extra positions only adds partials that
         die or re-derive the same matches; NFA set semantics dedupe
         them), on anchored automata through a one-byte ``matcher.feed``
@@ -327,15 +327,11 @@ class ScanProfiler:
                     out.append((slot, sample_at + end))
             else:
                 t0 = clock()
-                active, report, report_adj = matcher._advance(
-                    matcher.active, symbol
-                )
+                report = matcher.step_report(symbol)
                 step_us = (clock() - t0) * 1e6
-                matcher.active = active
+                active = matcher.active
                 for slot in report:
                     out.append((slot, sample_at))
-                for slot in report_adj:  # pragma: no cover - gated only
-                    out.append((slot, sample_at - 1))
             self._sample(
                 matcher, binding, active, symbol, step_us,
                 binding.offset + sample_at,

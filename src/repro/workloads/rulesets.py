@@ -1,6 +1,8 @@
 """Snort/Suricata rule-file import with quarantine, plus workload profiles.
 
-Two layers on top of :mod:`repro.workloads.snort`'s option extractors:
+The one Snort rule-option extractor (:func:`parse_rule_lines`; the
+helpers in :mod:`repro.workloads.snort` are views over it), plus two
+layers on top of it:
 
 * :func:`import_ruleset` / :func:`import_rules` — parse a rule file into
   :class:`ImportedRule` records (pattern text, ``sid``, ``msg``, source
@@ -45,13 +47,13 @@ from typing import (
 from ..compiler import CompilerOptions
 from ..compiler.pipeline import compile_pattern_isolated
 from ..resilience.report import CompileReport, QuarantineSummary
-from .snort import content_to_pcre
 
 __all__ = [
     "ImportedRule",
     "ImportedRuleset",
     "WORKLOAD_PROFILES",
     "WorkloadProfile",
+    "content_to_pcre",
     "import_rules",
     "import_ruleset",
     "parse_rule_lines",
@@ -60,6 +62,7 @@ __all__ = [
 
 _PCRE_OPTION = _re.compile(r'pcre:\s*"(?P<body>/.*?/(?P<flags>[a-zA-Z]*))"')
 _CONTENT_OPTION = _re.compile(r'content:\s*"(?P<body>(?:[^"\\]|\\.)*)"')
+_ESCAPE_NEEDED = set("\\^$.[]|()?*+{}-")
 _SID_OPTION = _re.compile(r"\bsid:\s*(?P<sid>\d+)\s*;")
 _MSG_OPTION = _re.compile(r'\bmsg:\s*"(?P<msg>[^"]*)"')
 
@@ -95,6 +98,41 @@ class ImportedRule:
         if self.msg is not None:
             out["msg"] = self.msg
         return out
+
+
+def content_to_pcre(content: str) -> str:
+    """Translate a Snort ``content`` string (with ``|..|`` hex spans and
+    backslash escapes) into an escaped literal regex."""
+    out: List[str] = []
+    index = 0
+    in_hex = False
+    while index < len(content):
+        char = content[index]
+        if char == "|":
+            in_hex = not in_hex
+            index += 1
+            continue
+        if in_hex:
+            if char == " ":
+                index += 1
+                continue
+            byte = content[index : index + 2]
+            if len(byte) < 2 or not _re.fullmatch(r"[0-9A-Fa-f]{2}", byte):
+                raise ValueError(f"bad hex span in content {content!r}")
+            out.append(f"\\x{byte.lower()}")
+            index += 2
+            continue
+        if char == "\\" and index + 1 < len(content):
+            out.append(_escape(content[index + 1]))
+            index += 2
+            continue
+        out.append(_escape(char))
+        index += 1
+    return "".join(out)
+
+
+def _escape(char: str) -> str:
+    return "\\" + char if char in _ESCAPE_NEEDED else char
 
 
 def _fold_flags(pattern: str, flags: str) -> str:

@@ -1,93 +1,50 @@
-"""Snort/Suricata rule handling: extract the PCRE bodies from rules.
+"""Snort/Suricata rule helpers: pattern lists from rule text.
 
 The Snort and Suricata datasets (§8) are network-intrusion rules whose
 regex payloads appear in ``pcre:"/<pattern>/<flags>"`` options (plus
-literal ``content:"..."`` options, which are plain strings).  This module
-extracts both into the PCRE subset the compiler accepts, applying the
-``i`` flag by case-folding and translating Snort's ``|41 42|`` hex-byte
-content notation.
+literal ``content:"..."`` options, which are plain strings).  These
+helpers are plain-list views over
+:func:`repro.workloads.rulesets.parse_rule_lines`, the one extractor, so
+PCRE flags fold identically everywhere (``/^GET/smi`` becomes
+``(?ism)^GET``).
 """
 
 from __future__ import annotations
 
-import re as _re
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
-_PCRE_OPTION = _re.compile(r'pcre:\s*"(?P<body>/.*?/(?P<flags>[a-zA-Z]*))"')
-_CONTENT_OPTION = _re.compile(r'content:\s*"(?P<body>(?:[^"\\]|\\.)*)"')
+from .rulesets import content_to_pcre, parse_rule_lines
 
-_ESCAPE_NEEDED = set("\\^$.[]|()?*+{}-")
+__all__ = [
+    "content_to_pcre",
+    "extract_contents",
+    "extract_pcre",
+    "rules_to_patterns",
+]
 
 
 def extract_pcre(rule: str) -> List[str]:
     """The regexes of one rule's ``pcre`` options, flags folded in."""
-    out = []
-    for match in _PCRE_OPTION.finditer(rule):
-        body = match.group("body")
-        flags = match.group("flags")
-        pattern = body[1 : body.rfind("/")]
-        if "i" in flags:
-            pattern = f"(?i){pattern}"
-        out.append(pattern)
-    return out
-
-
-def content_to_pcre(content: str) -> str:
-    """Translate a Snort ``content`` string (with ``|..|`` hex spans and
-    backslash escapes) into an escaped literal regex."""
-    out: List[str] = []
-    index = 0
-    in_hex = False
-    while index < len(content):
-        char = content[index]
-        if char == "|":
-            in_hex = not in_hex
-            index += 1
-            continue
-        if in_hex:
-            if char == " ":
-                index += 1
-                continue
-            byte = content[index : index + 2]
-            if len(byte) < 2 or not _re.fullmatch(r"[0-9A-Fa-f]{2}", byte):
-                raise ValueError(f"bad hex span in content {content!r}")
-            out.append(f"\\x{byte.lower()}")
-            index += 2
-            continue
-        if char == "\\" and index + 1 < len(content):
-            out.append(_escape(content[index + 1]))
-            index += 2
-            continue
-        out.append(_escape(char))
-        index += 1
-    return "".join(out)
-
-
-def _escape(char: str) -> str:
-    return "\\" + char if char in _ESCAPE_NEEDED else char
+    return [
+        imported.pattern
+        for imported in parse_rule_lines([rule], include_contents=False)
+    ]
 
 
 def extract_contents(rule: str) -> List[str]:
     """The ``content`` options of one rule as literal regexes."""
-    out = []
-    for match in _CONTENT_OPTION.finditer(rule):
-        try:
-            out.append(content_to_pcre(match.group("body")))
-        except ValueError:
-            continue
-    return out
+    return [
+        imported.pattern
+        for imported in parse_rule_lines([rule])
+        if imported.source == "content"
+    ]
 
 
 def rules_to_patterns(
     rules: Iterable[str], include_contents: bool = True
 ) -> List[str]:
     """Every usable pattern from a rule file's lines."""
-    patterns: List[str] = []
-    for rule in rules:
-        rule = rule.strip()
-        if not rule or rule.startswith("#"):
-            continue
-        patterns.extend(extract_pcre(rule))
-        if include_contents:
-            patterns.extend(extract_contents(rule))
-    return patterns
+    return [
+        imported.pattern
+        for imported in parse_rule_lines(rules, include_contents)
+    ]

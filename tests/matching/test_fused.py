@@ -118,15 +118,24 @@ class TestFusedMatcher:
         assert matcher.active_states()
 
     def test_cache_amortizes_repeated_contexts(self):
-        # Pin the bitset tier: with the dense table on, the lazy cache
-        # only sees row fills, not one probe per byte.
-        matcher = build_fused(
-            compile_all(["ab"]), table_states=0, prefilter=False
-        )
-        matcher.scan(b"abcabcabc")
-        info = matcher.cache_info()
+        # One hit/miss pair counts every lazy-DFA probe.  A table with
+        # room for the three reachable states never flushes and serves
+        # the repeats from rows; a one-state table flushes on every new
+        # state and still emits the same stream.
+        compiled = compile_all(["ab"])
+        data = b"abcabcabc"
+        roomy = build_fused(compiled, prefilter=False)
+        expected = roomy.scan(data)
+        info = roomy.cache_info()
         assert info["hits"] + info["misses"] == 9
         assert info["hits"] >= 6  # only 3 distinct (state, byte) contexts
+        assert info["flushes"] == 0
+        tight = build_fused(compiled, table_states=1, prefilter=False)
+        assert tight.scan(data) == expected
+        info = tight.cache_info()
+        assert info["hits"] + info["misses"] == 9
+        assert info["flushes"] > 0
+        assert info["states"] == 1
 
     def test_table_amortizes_repeated_contexts(self):
         # The table tier serves repeated contexts from dense rows: the
@@ -141,21 +150,21 @@ class TestFusedMatcher:
 
     def test_cache_stays_bounded(self):
         matcher = build_fused(
-            compile_all(["ab"]), cache_size=2, table_states=0, prefilter=False
+            compile_all(["ab"]), table_states=2, prefilter=False
         )
         matcher.scan(b"abcabcabc")
         info = matcher.cache_info()
-        assert info["entries"] <= 2
+        assert info["states"] <= 2
         assert info["hits"] + info["misses"] == 9
 
     def test_cache_size_validated(self):
         with pytest.raises(ValueError):
-            build_fused(compile_all(["ab"]), cache_size=0)
+            build_fused(compile_all(["ab"]), table_states=-1)
 
     def test_cached_and_uncached_agree(self):
         compiled = compile_all(["ab{2,4}c", "x(yz){2}", "q+r"])
         data = b"abbc xyzyz qqr abbbbc" * 3
-        cold = build_fused(compiled, cache_size=1)  # ~no reuse
+        cold = build_fused(compiled, table_states=1)  # ~no reuse
         warm = build_fused(compiled)
         assert cold.scan(data) == warm.scan(data)
         assert warm.scan(data) == warm.scan(data)  # warm rerun stable
@@ -192,9 +201,9 @@ class TestPatternSetIntegration:
 
 
 class TestTableBlowup:
-    """Satellite: a pathological set exceeding the table budget falls
-    back to bitset stepping mid-scan — identical output, a telemetry
-    counter bump and a flight event, never a budget error."""
+    """A pathological set exceeding the table budget flushes the lazy
+    DFA mid-scan and keeps stepping through it — identical output, a
+    telemetry counter bump and a flight event, never a budget error."""
 
     PATTERNS = ["a.{6}b", "c.{6}d"]  # sliding gaps: many distinct masks
 
@@ -212,12 +221,17 @@ class TestTableBlowup:
         tight = build_fused(compiled, table_states=2, prefilter=False)
         assert tight.scan(data) == expected
         info = tight.table_info()
-        assert not info["live"]
-        assert info["fallbacks"] == 1
-        assert info["steps_bitset"] > 0  # scan finished on the bitset tier
-        # The fallback is permanent: later scans stay correct, no table.
+        assert info["live"]
+        flushes = info["fallbacks"]  # flushes, under the historical key
+        assert flushes >= 1
+        assert info["states"] <= 2
+        # Every byte stays on the table: a flush restarts it, no tier
+        # switch.
+        assert info["steps_table"] == len(data)
+        assert info["steps_bitset"] == 0
+        # Later scans stay correct and keep flushing.
         assert tight.scan(data) == expected
-        assert tight.table_info()["fallbacks"] == 1
+        assert tight.table_info()["fallbacks"] > flushes
 
     def test_byte_budget_blowup_identical_output(self):
         compiled = compile_all(self.PATTERNS)
@@ -228,14 +242,13 @@ class TestTableBlowup:
         tight = build_fused(compiled, table_bytes=1, prefilter=False)
         assert tight.scan(data) == expected
         info = tight.table_info()
-        assert not info["live"]
-        assert info["fallbacks"] == 1
+        assert info["live"]
+        assert info["fallbacks"] >= 1
+        assert info["states"] == 1  # one interned state fills 1 byte
 
     def test_fallback_counter_and_flight_event(self):
-        # Matcher-level: the tiers run inside FusedMatcher.feed (the
-        # engine's metrics path steps per byte for the occupancy
-        # histogram and never enters the table), so the counter and the
-        # flight event are asserted where the blow-up actually happens.
+        # Matcher-level: the flush happens inside FusedMatcher, so the
+        # counter and the flight event are asserted right there.
         from repro import telemetry
         from repro.telemetry import flight
 
@@ -251,14 +264,16 @@ class TestTableBlowup:
                 tight = build_fused(compiled, table_states=2, prefilter=False)
                 matches = tight.scan(data)
                 snap = telemetry.snapshot()
-            assert snap["counters"]["scan.table.fallback"] >= 1
+            flushes = tight.table_info()["fallbacks"]
+            assert snap["counters"]["scan.table.flush"] == flushes >= 1
             events = [
                 e
                 for e in flight.recorder().events()
-                if e["kind"] == "table_fallback"
+                if e["kind"] == "table_flush"
             ]
             assert events
             assert events[0]["state_capacity"] == 2
+            assert events[0]["states"] == 2
         finally:
             flight.disable()
         assert matches == expected
@@ -286,63 +301,53 @@ class TestTableBlowup:
 
 
 class TestCacheBytes:
-    """Satellite: the successor cache is bounded by estimated bytes,
-    keyed on mask bit length, not just entry count."""
-
-    def test_entry_bytes_scale_with_mask_width(self):
-        from repro.matching.fused import entry_bytes
-
-        narrow = entry_bytes(1 << 10, 1 << 10)
-        wide = entry_bytes(1 << 100_000, 1 << 100_000)
-        assert wide > narrow
-        assert wide - narrow >= 2 * (100_000 - 10) // 8 - 16
+    """The lazy DFA is bounded by estimated bytes as well as states."""
 
     def test_cache_info_reports_bytes(self):
-        matcher = build_fused(compile_all(["ab"]))
-        matcher.scan(b"abcabc")
+        compiled = compile_all(["ab"])
+        data = b"abcabc"
+        matcher = build_fused(compiled)
+        expected = matcher.scan(data)
         info = matcher.cache_info()
         assert info["bytes"] > 0
         assert info["bytes"] <= info["byte_capacity"]
-        assert info["entries"] * 100 < info["byte_capacity"]
-
-    def test_byte_budget_evicts(self):
-        from repro.matching.fused import entry_bytes
-
-        # Room for roughly two narrow entries only.
-        budget = entry_bytes(0, 0) * 2 + 10
-        matcher = build_fused(compile_all(["ab"]), cache_bytes=budget)
-        matcher.scan(b"abcabcabc" * 4)
-        info = matcher.cache_info()
-        assert info["bytes"] <= budget
-        assert info["entries"] <= 3
-
-    def test_byte_accounting_balances_after_evictions(self):
-        from repro.matching.fused import entry_bytes
-
-        matcher = build_fused(compile_all(["ab{3}c", "xy"]), cache_size=4)
-        matcher.scan(b"abbbc xy zq abbc xbbz" * 3)
-        info = matcher.cache_info()
-        recomputed = sum(
-            entry_bytes(key[0], value[0], len(value[1]))
-            for key, value in matcher._cache.items()
-        )
-        assert info["bytes"] == recomputed
+        assert info["states"] * 100 < info["byte_capacity"]
+        # A byte cap well below the filled size flushes instead of
+        # growing (the cap is checked before each new state).
+        tight = build_fused(compiled, table_bytes=info["bytes"] // 2)
+        assert tight.scan(data) == expected
+        assert tight.cache_info()["flushes"] > 0
+        assert tight.cache_info()["bytes"] < info["bytes"]
 
     def test_cache_bytes_validated(self):
         with pytest.raises(ValueError):
-            build_fused(compile_all(["ab"]), cache_bytes=0)
+            build_fused(compile_all(["ab"]), table_bytes=0)
 
     def test_results_unchanged_by_byte_pressure(self):
         compiled = compile_all(["ab{2,4}c", "x(yz){2}", "q+r"])
         data = b"abbc xyzyz qqr abbbbc" * 3
-        tight = build_fused(compiled, cache_bytes=500)
+        tight = build_fused(compiled, table_bytes=500)
         roomy = build_fused(compiled)
         assert tight.scan(data) == roomy.scan(data)
 
     def test_cache_full_flags_saturation(self):
-        matcher = build_fused(compile_all(["ab"]), cache_size=2)
+        # "Full" means at the state cap now; a flush empties the table,
+        # and the query never changes state.  The table-off reference is
+        # never full.
+        compiled = compile_all(["ab"])
+        data = b"abcabcxyz"
+        reference = build_fused(compiled, table_states=0)
+        expected = reference.scan(data)
+        assert not reference.cache_full()
+        matcher = build_fused(compiled, table_states=2, prefilter=False)
         assert not matcher.cache_full()
-        matcher.scan(b"abcabcxyz")
+        assert matcher.scan(data) == expected
+        assert matcher.table_info()["fallbacks"] > 0
+        assert matcher.cache_info()["states"] < 2
+        assert not matcher.cache_full()  # flushed, below the cap
+        matcher.step(ord("a"))
+        assert matcher.cache_info()["states"] == 2
+        assert matcher.cache_full()  # at the cap
         assert matcher.cache_full()
 
     def test_pattern_mask_selects_slice(self):

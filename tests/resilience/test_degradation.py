@@ -7,6 +7,7 @@ import pytest
 
 from repro import telemetry
 from repro.matching import DegradationPolicy, PatternSet
+from repro.resilience import Budget
 
 PATTERNS = ["ab{3}c", "x[0-9]{2}y", "q+r", "m{2,5}n"]
 
@@ -111,16 +112,40 @@ class TestDemotion:
         assert [(m.pattern_id, m.end) for m in second] == [(0, 2), (1, 5)]
 
     def test_cache_thrash_reason_possible(self):
-        # A tiny cache plus random input forces misses once full.
+        # A four-state lazy DFA plus random input flushes over and over,
+        # so every window misses with the table full.
         policy = DegradationPolicy(
             check_bytes=256, min_window=16, min_hit_rate=1.0
         )
-        ps = PatternSet(PATTERNS, engine="fused", degradation=policy)
-        ps._fused._cache_size = 4  # force permanent thrash
-        ps.scan(_stream(4096))
+        ps = PatternSet(
+            PATTERNS,
+            engine="fused",
+            degradation=policy,
+            budget=Budget(max_table_states=4),
+        )
+        data = _stream(4096)
+        assert ps.scan(data) == PatternSet(PATTERNS, engine="nfa").scan(data)
         reasons = {event.reason for event in ps.degradations}
         assert reasons <= {"cache_thrash", "wide_active"}
         assert "cache_thrash" in reasons
+
+    def test_table_off_never_thrashes(self):
+        # The thrash trigger reads the lazy DFA; the un-memoised
+        # reference has none, so it is never "full" and never thrashes.
+        policy = DegradationPolicy(
+            check_bytes=256, min_window=16, min_hit_rate=1.0
+        )
+        ps = PatternSet(
+            PATTERNS,
+            engine="fused",
+            degradation=policy,
+            budget=Budget(max_table_states=0),
+        )
+        data = _stream(4096)
+        assert ps.scan(data) == PatternSet(PATTERNS, engine="nfa").scan(data)
+        assert "cache_thrash" not in {
+            event.reason for event in ps.degradations
+        }
 
     def test_telemetry_counts_degradations(self):
         with telemetry.session():

@@ -245,6 +245,27 @@ class TestPatternFormats:
                      "-i", str(path)]) == 0
         assert "ab{3}c" in capsys.readouterr().out
 
+    def test_snort_format_keeps_pcre_flags(self, tmp_path, capsys):
+        # /^GET/smi folds to (?ism)^GET like the ruleset importer does;
+        # multiline plus an anchor is rejected, never scanned as (?i)^GET.
+        rules = tmp_path / "rules.txt"
+        rules.write_text(
+            'alert tcp any any -> any 80 (pcre:"/^GET/smi"; sid:1;)\n'
+            'alert tcp any any -> any 80 (pcre:"/ab{3}c/"; sid:2;)\n'
+        )
+        path = tmp_path / "in.bin"
+        path.write_bytes(b"GET zabbbcz")
+        argv = ["scan", "--format", "snort", f"@{rules}", "-i", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error[E_UNSUPPORTED]" in err
+        assert "(?ism)^GET" in err
+        assert main(argv + ["--quarantine"]) == 0
+        captured = capsys.readouterr()
+        assert "rejected pattern 0" in captured.err
+        assert "ab{3}c" in captured.out
+        assert "GET" not in captured.out
+
 
 class TestStructuredErrors:
     def test_syntax_error_prints_caret_and_exits_2(self, capsys):

@@ -32,6 +32,10 @@ class TestPcreExtraction:
     def test_none(self):
         assert extract_pcre("alert tcp (sid:2;)") == []
 
+    def test_every_parser_flag_survives(self):
+        # Same folding as the rule-file importer: s and m are kept.
+        assert extract_pcre('pcre:"/^GET/smi"') == ["(?ism)^GET"]
+
 
 class TestContentTranslation:
     def test_hex_span(self):
